@@ -28,7 +28,7 @@
 //! (`fmossim-par`'s `ArenaPool`) can recycle them across
 //! record→replay→re-plan rebuilds instead of reallocating per batch.
 
-use crate::overlay::Overrides;
+use crate::overlay::{Overrides, ViewCache};
 use crate::records::{StateListStore, StateLists};
 use fmossim_faults::FaultId;
 use fmossim_netlist::{Logic, NodeId};
@@ -175,6 +175,7 @@ pub struct SimArena {
     pub(crate) queue: EventQueue,
     pub(crate) triggered: Vec<u32>,
     pub(crate) strobe_scratch: Vec<(u32, Logic)>,
+    pub(crate) view_cache: ViewCache,
 }
 
 impl SimArena {
@@ -193,6 +194,7 @@ impl SimArena {
             queue: EventQueue::default(),
             triggered: Vec::new(),
             strobe_scratch: Vec::new(),
+            view_cache: ViewCache::default(),
         }
     }
 

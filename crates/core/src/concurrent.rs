@@ -33,7 +33,7 @@
 //! their ends.
 
 use crate::arena::{CircuitId, Csr, EventQueue, SimArena};
-use crate::overlay::{FaultyView, Overrides};
+use crate::overlay::{FaultyView, Overrides, ViewCache};
 use crate::packed::{PackedBucketView, PackedViewScratch};
 use crate::pattern::{Pattern, Phase};
 use crate::records::{StateListStore, StateLists};
@@ -216,9 +216,11 @@ pub struct ConcurrentConfig {
     /// through one pass of bitwise plane operations
     /// ([`fmossim_switch::PackedEngine`]), each lane perturbed with its
     /// own seed set and lanes evicted to a scalar-equivalent re-solve
-    /// whenever their vicinity structure diverges. Results are
-    /// bit-identical to the scalar path; only
-    /// the work counters (`faulty_groups`, `switch.*`) differ. Ignored
+    /// whenever their vicinity structure diverges. Every lane solves its
+    /// groups in the order the scalar engine would (see
+    /// [`fmossim_switch::PackedEngine`]), so results are bit-identical
+    /// to the scalar path; only the work counters (`faulty_groups`,
+    /// `switch.*`) differ. Ignored
     /// (scalar path used) under [`LocalityMode::Static`], which the
     /// packed engine does not implement. Off by default and in
     /// [`ConcurrentConfig::paper`]: the paper predates bit-parallel
@@ -340,6 +342,8 @@ pub struct ConcurrentSim<'n> {
     /// Scratch: the `(circuit, value)` entries strobed at one output —
     /// a snapshot so detections can drop circuits mid-iteration.
     strobe_scratch: Vec<(u32, Logic)>,
+    /// The scalar faulty settle's per-view read cache.
+    view_cache: ViewCache,
     /// The bit-parallel lane machinery; present iff
     /// [`ConcurrentConfig::packing`] is on (and locality is dynamic).
     packed: Option<Box<PackedLanes>>,
@@ -572,6 +576,7 @@ impl<'n> ConcurrentSim<'n> {
             mut queue,
             mut triggered,
             mut strobe_scratch,
+            mut view_cache,
         } = arena;
         let good = DenseState::new(net);
         engine.recycle(net, config.engine);
@@ -602,6 +607,7 @@ impl<'n> ConcurrentSim<'n> {
         queue.clear();
         triggered.clear();
         strobe_scratch.clear();
+        view_cache.fit(net.num_nodes());
         // The structural tables, flattened: (node, entry) pairs sorted
         // by node, then CSR-compacted. `attach` rows must be ascending
         // and unique; `forced_at` rows keep their per-circuit push
@@ -652,6 +658,7 @@ impl<'n> ConcurrentSim<'n> {
             config,
             triggered,
             strobe_scratch,
+            view_cache,
             packed,
             gating,
             metrics: CoreMetrics::default(),
@@ -796,6 +803,7 @@ impl<'n> ConcurrentSim<'n> {
             queue: self.queue,
             triggered: self.triggered,
             strobe_scratch: self.strobe_scratch,
+            view_cache: self.view_cache,
         }
     }
 
@@ -1190,13 +1198,20 @@ impl<'n> ConcurrentSim<'n> {
             engine,
             records,
             overrides,
+            view_cache,
             metrics,
             ..
         } = self;
         metrics.local_events_scheduled += seeds.len() as u64;
         let rep = {
-            let mut view =
-                FaultyView::new(net, good.states(), records, circ, &overrides[circ as usize]);
+            let mut view = FaultyView::new(
+                net,
+                good.states(),
+                records,
+                circ,
+                &overrides[circ as usize],
+                view_cache,
+            );
             for &(_, s) in seeds {
                 engine.perturb(s);
             }

@@ -51,7 +51,7 @@ pub use fmossim_switch::DenseState;
 // pool engines across simulator rebuilds without depending on
 // `fmossim-switch`.
 pub use fmossim_switch::Engine;
-pub use overlay::{FaultyView, Overrides, SerialState};
+pub use overlay::{FaultyView, Overrides, SerialState, ViewCache};
 pub use pattern::{stimulus_content_hash, Pattern, Phase};
 pub use records::{StateListStore, StateLists};
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};

@@ -5,6 +5,7 @@ use crate::records::StateLists;
 use fmossim_faults::FaultEffect;
 use fmossim_netlist::{Conduction, Logic, Network, NodeId, TransistorId};
 use fmossim_switch::{DenseState, SwitchState};
+use std::cell::Cell;
 
 /// The structural overrides implementing one faulty circuit. The
 /// paper's experiments use single faults (one entry), but the lists
@@ -79,39 +80,136 @@ impl Overrides {
     }
 }
 
+/// The per-settle read cache behind [`FaultyView`]: each node's
+/// resolved value (forced, else record, else good) and its input
+/// classification, gathered on first read and stamped with the view's
+/// epoch, so the solver's repeated reads of a member or gate cost one
+/// array load instead of a forced-node scan plus a record search.
+///
+/// Owned by the simulator and reused across views; every
+/// [`FaultyView::new`] starts a new epoch, which invalidates all of it
+/// in O(1). Interior-mutable because gathering happens on the trait's
+/// `&self` read path.
+#[derive(Debug, Default)]
+pub struct ViewCache {
+    /// Per node: `epoch << 3 | input << 2 | value code`; meaningful iff
+    /// the stamp equals the current epoch.
+    slots: Vec<Cell<u64>>,
+    epoch: u64,
+}
+
+impl ViewCache {
+    /// Bits below the epoch stamp.
+    const SHIFT: u32 = 3;
+    const INPUT: u64 = 1 << 2;
+
+    /// Creates an empty cache for `num_nodes` nodes.
+    #[must_use]
+    pub fn new(num_nodes: usize) -> Self {
+        let mut cache = ViewCache::default();
+        cache.fit(num_nodes);
+        cache
+    }
+
+    /// Re-fits the cache to `num_nodes` nodes, keeping its allocation.
+    pub fn fit(&mut self, num_nodes: usize) {
+        self.slots.clear();
+        self.slots.resize(num_nodes, Cell::new(0));
+        self.epoch = 0;
+    }
+
+    /// Invalidates every slot by moving to a fresh epoch.
+    fn begin(&mut self) {
+        self.epoch += 1;
+        if self.epoch == u64::MAX >> Self::SHIFT {
+            // Epoch exhausted: stale stamps could collide, so clear them.
+            for slot in &mut self.slots {
+                *slot.get_mut() = 0;
+            }
+            self.epoch = 1;
+        }
+    }
+
+    fn encode(&self, v: Logic, input: bool) -> u64 {
+        let code = match v {
+            Logic::L => 0,
+            Logic::H => 1,
+            Logic::X => 2,
+        };
+        self.epoch << Self::SHIFT | if input { Self::INPUT } else { 0 } | code
+    }
+
+    fn decode(slot: u64) -> Logic {
+        match slot & 3 {
+            0 => Logic::L,
+            1 => Logic::H,
+            _ => Logic::X,
+        }
+    }
+}
+
 /// A faulty circuit's state in the concurrent simulator: divergence
 /// records overlaid on the good circuit's dense state, plus the fault's
 /// structural overrides.
 ///
 /// Reads fall back to the good circuit (a node without a record has the
-/// good circuit's state); writes maintain the record lists — writing a
-/// value equal to the good circuit's removes the record (the circuit
-/// *converged* at that node).
+/// good circuit's state) and go through a [`ViewCache`] that lives for
+/// this view only; writes maintain both the cache and the record lists
+/// — writing a value equal to the good circuit's removes the record
+/// (the circuit *converged* at that node).
 pub struct FaultyView<'a, 'n> {
     net: &'n Network,
     good: &'a [Logic],
     records: &'a mut StateLists,
     circuit: u32,
     ov: &'a Overrides,
+    cache: &'a ViewCache,
 }
 
 impl<'a, 'n> FaultyView<'a, 'n> {
-    /// Creates the view of circuit `circuit` (`>= 1`).
+    /// Creates the view of circuit `circuit` (`>= 1`), invalidating
+    /// whatever `cache` held: records may have changed since the last
+    /// view.
     pub fn new(
         net: &'n Network,
         good: &'a [Logic],
         records: &'a mut StateLists,
         circuit: u32,
         ov: &'a Overrides,
+        cache: &'a mut ViewCache,
     ) -> Self {
         debug_assert!(circuit >= 1, "circuit 0 is the good circuit");
+        debug_assert_eq!(cache.slots.len(), good.len(), "cache fits the network");
+        cache.begin();
         FaultyView {
             net,
             good,
             records,
             circuit,
             ov,
+            cache,
         }
+    }
+
+    /// The cached slot of `n`, gathering it on first use this epoch.
+    #[inline]
+    fn slot(&self, n: NodeId) -> u64 {
+        let cell = &self.cache.slots[n.index()];
+        let slot = cell.get();
+        if slot >> ViewCache::SHIFT == self.cache.epoch {
+            return slot;
+        }
+        let slot = match self.ov.forced_value(n) {
+            Some(v) => self.cache.encode(v, true),
+            None => self.cache.encode(
+                self.records
+                    .get(n, self.circuit)
+                    .unwrap_or(self.good[n.index()]),
+                self.net.node(n).is_input(),
+            ),
+        };
+        cell.set(slot);
+        slot
     }
 }
 
@@ -120,13 +218,9 @@ impl SwitchState for FaultyView<'_, '_> {
         self.net
     }
 
+    #[inline]
     fn node_state(&self, n: NodeId) -> Logic {
-        if let Some(v) = self.ov.forced_value(n) {
-            return v;
-        }
-        self.records
-            .get(n, self.circuit)
-            .unwrap_or(self.good[n.index()])
+        ViewCache::decode(self.slot(n))
     }
 
     fn set_node_state(&mut self, n: NodeId, v: Logic) {
@@ -135,10 +229,16 @@ impl SwitchState for FaultyView<'_, '_> {
         } else {
             self.records.set(n, self.circuit, v);
         }
+        // A forced node keeps reading its forced value.
+        if self.ov.forced_value(n).is_none() {
+            let slot = self.cache.encode(v, self.net.node(n).is_input());
+            self.cache.slots[n.index()].set(slot);
+        }
     }
 
+    #[inline]
     fn is_input(&self, n: NodeId) -> bool {
-        self.ov.forced_value(n).is_some() || self.net.node(n).is_input()
+        self.slot(n) & ViewCache::INPUT != 0
     }
 
     fn conduction(&self, t: TransistorId) -> Conduction {
@@ -225,8 +325,9 @@ mod tests {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
         let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
         let ov = Overrides::default();
-        let mut view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
+        let mut view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
         assert_eq!(view.node_state(s), Logic::H, "falls back to good");
         view.set_node_state(s, Logic::L);
         assert_eq!(view.node_state(s), Logic::L, "record wins");
@@ -240,11 +341,12 @@ mod tests {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
         let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
         let ov = Overrides::from_effect(FaultEffect::ForceNode {
             node: s,
             value: Logic::L,
         });
-        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
+        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
         assert!(view.is_input(s));
         assert_eq!(view.node_state(s), Logic::L);
     }
@@ -254,11 +356,12 @@ mod tests {
         let (net, a, _, t) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
         let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
         let ov = Overrides::from_effect(FaultEffect::ForceTransistor {
             t,
             cond: Conduction::Open,
         });
-        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
+        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
         // Gate A is high (transistor would conduct) but the fault holds
         // it open.
         assert_eq!(view.node_state(a), Logic::H);
@@ -270,12 +373,74 @@ mod tests {
         let (net, a, _, t) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
         let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
         // Circuit 1 diverges on the gate: A is low there. (A is an input
         // node; record-on-input is how fault-control flips are stored.)
         recs.set(a, 1, Logic::L);
         let ov = Overrides::default();
-        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
+        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
         assert_eq!(view.conduction(t), Conduction::Open);
+    }
+
+    #[test]
+    fn new_view_sees_records_changed_since_the_last() {
+        let (net, a, s, t) = tiny();
+        let good = vec![Logic::L, Logic::H, Logic::H];
+        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
+        let ov = Overrides::default();
+        {
+            let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
+            assert_eq!(view.node_state(s), Logic::H);
+            assert_eq!(view.conduction(t), Conduction::Closed);
+        }
+        // Between settles the simulator edits records directly (old-value
+        // preservation on trigger, the convergence sweep).
+        recs.set(s, 1, Logic::L);
+        recs.set(a, 1, Logic::L);
+        {
+            let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
+            assert_eq!(
+                view.node_state(s),
+                Logic::L,
+                "record added since the last view"
+            );
+            assert_eq!(view.conduction(t), Conduction::Open, "gate re-read as well");
+        }
+        recs.remove(s, 1);
+        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
+        assert_eq!(
+            view.node_state(s),
+            Logic::H,
+            "record removed since the last view"
+        );
+    }
+
+    #[test]
+    fn forced_value_beats_cached_records() {
+        let (net, _, s, _) = tiny();
+        let good = vec![Logic::L, Logic::H, Logic::H];
+        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut cache = ViewCache::new(3);
+        let ov = Overrides::from_effect(FaultEffect::ForceNode {
+            node: s,
+            value: Logic::L,
+        });
+        recs.set(s, 1, Logic::X);
+        {
+            let mut view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
+            assert_eq!(view.node_state(s), Logic::L, "forced over record");
+            view.set_node_state(s, Logic::X);
+            assert_eq!(view.node_state(s), Logic::L, "forced over a write");
+            assert!(view.is_input(s));
+        }
+        assert_eq!(
+            recs.get(s, 1),
+            Some(Logic::X),
+            "the write still lands in the records"
+        );
+        let view = FaultyView::new(&net, &good, &mut recs, 1, &ov, &mut cache);
+        assert_eq!(view.node_state(s), Logic::L, "forced over a fresh gather");
     }
 
     #[test]

@@ -36,9 +36,14 @@ pub struct StateLists {
     /// Hash backend.
     map: HashMap<(u32, u32), Logic>,
     /// Per circuit: nodes this circuit has (or once had) records on.
-    /// May contain stale entries (validated on drop); amortises circuit
-    /// teardown.
+    /// May contain stale and repeated entries (validated on drop);
+    /// amortises circuit teardown. Compacted whenever it outgrows
+    /// [`StateLists::compact_limit`] of the circuit's live records, so
+    /// a circuit that keeps re-diverging at the same nodes stays
+    /// bounded.
     touched: Vec<Vec<NodeId>>,
+    /// Per circuit: number of live records.
+    live: Vec<u32>,
     /// Number of live records.
     len: usize,
 }
@@ -53,6 +58,7 @@ impl StateLists {
             per_node: vec![Vec::new(); num_nodes],
             map: HashMap::new(),
             touched: vec![Vec::new(); num_circuits + 1],
+            live: vec![0; num_circuits + 1],
             len: 0,
         }
     }
@@ -73,6 +79,8 @@ impl StateLists {
             nodes.clear();
         }
         self.touched.resize(num_circuits + 1, Vec::new());
+        self.live.clear();
+        self.live.resize(num_circuits + 1, 0);
         self.len = 0;
     }
 
@@ -126,7 +134,29 @@ impl StateLists {
             }
         }
         self.len += 1;
-        self.touched[circuit as usize].push(n);
+        let c = circuit as usize;
+        self.live[c] += 1;
+        self.touched[c].push(n);
+        if self.touched[c].len() > Self::compact_limit(self.live[c]) {
+            self.compact_touched(circuit);
+        }
+    }
+
+    /// The `touched` length beyond which a circuit with `live` records
+    /// is compacted: about twice its live count, so compaction stays
+    /// amortised O(log) per insertion.
+    fn compact_limit(live: u32) -> usize {
+        2 * live as usize + 16
+    }
+
+    /// Shrinks `touched[circuit]` to the nodes that still hold one of
+    /// its records, each once.
+    fn compact_touched(&mut self, circuit: u32) {
+        let mut nodes = std::mem::take(&mut self.touched[circuit as usize]);
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.retain(|&n| self.get(n, circuit).is_some());
+        self.touched[circuit as usize] = nodes;
     }
 
     /// Removes the record for `(n, circuit)` if present (the circuit's
@@ -150,6 +180,7 @@ impl StateLists {
         };
         if removed {
             self.len -= 1;
+            self.live[circuit as usize] -= 1;
         }
     }
 
@@ -210,11 +241,18 @@ impl StateLists {
     /// Removes every record of `circuit` (fault dropped after
     /// detection). Returns the number of records reclaimed.
     pub fn drop_circuit(&mut self, circuit: u32) -> usize {
-        let nodes = std::mem::take(&mut self.touched[circuit as usize]);
+        let mut nodes = std::mem::take(&mut self.touched[circuit as usize]);
         let before = self.len;
-        for n in nodes {
+        for &n in &nodes {
             self.remove(n, circuit);
         }
+        debug_assert_eq!(
+            self.live[circuit as usize], 0,
+            "touched covers every record"
+        );
+        // Keep the allocation for the circuit's (unlikely) next life.
+        nodes.clear();
+        self.touched[circuit as usize] = nodes;
         before - self.len
     }
 
@@ -311,6 +349,31 @@ mod tests {
             s.remove(n(0), 1); // converged: touched entry goes stale
             s.set(n(2), 1, Logic::L);
             assert_eq!(s.drop_circuit(1), 1);
+            assert!(s.is_empty());
+        }
+    }
+
+    #[test]
+    fn touched_stays_bounded_under_diverge_converge_cycles() {
+        for mut s in both() {
+            s.set(n(7), 3, Logic::H); // one long-lived record
+            for round in 0..1000 {
+                let node = n(round % 6);
+                s.set(node, 3, Logic::L);
+                s.remove(node, 3);
+                s.set(n(round % 3), 2, Logic::X); // a neighbour circuit
+                                                  // Circuit 3 never holds more than two records at once.
+                assert!(
+                    s.touched[3].len() <= StateLists::compact_limit(2),
+                    "touched grew to {} entries",
+                    s.touched[3].len()
+                );
+            }
+            assert_eq!(s.live[3], 1);
+            assert_eq!(s.nodes_of(3), vec![n(7)]);
+            assert_eq!(s.nodes_of(2), vec![n(0), n(1), n(2)]);
+            assert_eq!(s.drop_circuit(3), 1, "the live record survives compaction");
+            assert_eq!(s.drop_circuit(2), 3);
             assert!(s.is_empty());
         }
     }

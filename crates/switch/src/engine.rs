@@ -505,15 +505,24 @@ impl PackedEngineMetrics {
 /// in unit-delay rounds, settling up to 64 fault machines per vicinity
 /// solve through [`PackedScratch`].
 ///
-/// The scheduling discipline matches the scalar engine round for round:
-/// a per-node pending mask plays the role of the scalar queued flag, a
-/// per-node `(round, lanes)` stamp plays the role of `solved_round`, and
-/// gate-driven wake-ups propagate per changed lane (any value change
-/// flips an N/P conduction class; depletion gates never wake). Lanes
-/// evicted by a mid-extraction support divergence re-enter the worklist
-/// from the same seed in the same round, so each lane settles exactly
-/// as its scalar schedule would — the bit-identity the equivalence
-/// tests assert.
+/// The scheduling discipline matches the scalar engine round for round
+/// *and* position for position, which matters because a group solved
+/// later in a round reads the values earlier groups wrote:
+///
+/// * the round queue holds `(node, lanes)` entries; a newly scheduled
+///   lane joins the node's latest entry only if that keeps its own
+///   order, and otherwise opens a new entry at the end, so each lane
+///   meets a node where its own first perturbation put it — a per-node
+///   pending mask plays the role of the scalar queued flag;
+/// * a per-node `(round, lanes)` stamp plays the role of
+///   `solved_round`;
+/// * lanes evicted by a mid-extraction support divergence re-solve from
+///   the same seed at once, before the round moves on;
+/// * gate-driven wake-ups propagate per changed lane (any value change
+///   flips an N/P conduction class; depletion gates never wake).
+///
+/// Each lane therefore settles exactly as its scalar schedule would —
+/// the bit-identity the equivalence tests assert.
 #[derive(Clone, Debug)]
 pub struct PackedEngine {
     scratch: PackedScratch,
@@ -522,15 +531,21 @@ pub struct PackedEngine {
     /// so routing them through the scalar fixed point keeps the packed
     /// path competitive when occupancy is low.
     scalar: Scratch,
-    /// Nodes to process this round.
-    queue: Vec<NodeId>,
-    /// Nodes scheduled for the next round.
-    next_queue: Vec<NodeId>,
-    /// Per-node lanes scheduled for the next round; nonzero iff the
-    /// node is in `next_queue`.
+    /// `(node, lanes)` entries to process this round.
+    queue: Vec<(NodeId, u64)>,
+    /// `(node, lanes)` entries scheduled for the next round, in an order
+    /// consistent with every lane's own perturbation order (see
+    /// [`PackedEngine::perturb`]).
+    next_queue: Vec<(NodeId, u64)>,
+    /// Per-node lanes scheduled for the next round (the union of the
+    /// node's entries in `next_queue`).
     pending: Vec<u64>,
-    /// Per-node lanes awaiting processing in the current round.
-    todo: Vec<u64>,
+    /// Per node with pending lanes: one plus the index of its latest
+    /// entry in `next_queue`.
+    entry_at: Vec<u32>,
+    /// Per lane: one plus the index of its latest entry in
+    /// `next_queue`, or 0 if it has none yet.
+    lane_last: [u32; 64],
     /// Per-node lanes already solved in the round stamped below.
     solved_mask: Vec<u64>,
     solved_round: Vec<u64>,
@@ -559,7 +574,8 @@ impl PackedEngine {
             queue: Vec::new(),
             next_queue: Vec::new(),
             pending: vec![0; net.num_nodes()],
-            todo: vec![0; net.num_nodes()],
+            entry_at: vec![0; net.num_nodes()],
+            lane_last: [0; 64],
             solved_mask: vec![0; net.num_nodes()],
             solved_round: vec![0; net.num_nodes()],
             round_id: 0,
@@ -594,25 +610,54 @@ impl PackedEngine {
 
     /// Discards every pending perturbation in every lane.
     pub fn clear_pending(&mut self) {
-        for &n in &self.next_queue {
+        for &(n, _) in &self.next_queue {
             self.pending[n.index()] = 0;
         }
         self.next_queue.clear();
+        self.lane_last = [0; 64];
     }
 
     /// Schedules node `n` for (re-)evaluation in the given lanes at the
-    /// next settle. Input-classified lanes are filtered out at
-    /// processing time, so perturbing them is harmless.
-    #[inline]
+    /// next round (or the next settle). Input-classified lanes are
+    /// filtered out at processing time, so perturbing them is harmless.
+    ///
+    /// A lane already pending at `n` keeps its place. A newly scheduled
+    /// lane joins `n`'s latest entry if it has no entry after that one,
+    /// which puts `n` after every node the lane scheduled before —
+    /// exactly where the scalar engine's queue would put it; otherwise
+    /// it goes into a new entry at the end.
     pub fn perturb(&mut self, n: NodeId, lanes: u64) {
-        if lanes == 0 {
+        let i = n.index();
+        let new = lanes & !self.pending[i];
+        if new == 0 {
             return;
         }
-        let e = &mut self.pending[n.index()];
-        if *e == 0 {
-            self.next_queue.push(n);
+        let mut join = 0u64;
+        if self.pending[i] != 0 {
+            let at = self.entry_at[i];
+            let mut m = new;
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if self.lane_last[lane] < at {
+                    self.lane_last[lane] = at;
+                    join |= 1 << lane;
+                }
+            }
+            self.next_queue[at as usize - 1].1 |= join;
         }
-        *e |= lanes;
+        self.pending[i] |= new;
+        let mut rest = new & !join;
+        if rest == 0 {
+            return;
+        }
+        self.next_queue.push((n, rest));
+        let at = u32::try_from(self.next_queue.len()).expect("queue fits u32");
+        self.entry_at[i] = at;
+        while rest != 0 {
+            self.lane_last[rest.trailing_zeros() as usize] = at;
+            rest &= rest - 1;
+        }
     }
 
     /// Drains all pending perturbations across every lane, solving
@@ -624,90 +669,95 @@ impl PackedEngine {
             report.rounds += 1;
             let x_damp = report.rounds > self.config.max_rounds;
             if x_damp {
-                for &n in &self.next_queue {
-                    report.damped_lanes |= self.pending[n.index()] & all_lanes;
+                for &(_, lanes) in &self.next_queue {
+                    report.damped_lanes |= lanes & all_lanes;
                 }
             }
             self.round_id += 1;
-            for qi in 0..self.next_queue.len() {
-                let n = self.next_queue[qi];
-                self.todo[n.index()] = self.pending[n.index()];
+            for &(n, _) in &self.next_queue {
                 self.pending[n.index()] = 0;
             }
+            self.lane_last = [0; 64];
             std::mem::swap(&mut self.queue, &mut self.next_queue);
-            let mut qi = 0;
-            while qi < self.queue.len() {
-                let seed = self.queue[qi];
-                qi += 1;
-                let mut m = self.todo[seed.index()];
-                self.todo[seed.index()] = 0;
-                m &= all_lanes & !st.is_input_lanes(seed);
+            for qi in 0..self.queue.len() {
+                let (seed, lanes) = self.queue[qi];
+                let mut m = lanes & all_lanes & !st.is_input_lanes(seed);
                 if self.solved_round[seed.index()] == self.round_id {
                     m &= !self.solved_mask[seed.index()];
                 }
-                if m == 0 {
-                    continue;
-                }
-                if m & (m - 1) == 0 {
-                    // One active lane: the packed fixed point would run
-                    // full-width plane operations for it; the scalar
-                    // solver computes the identical result cheaper.
-                    self.solve_lane_scalar(st, seed, m, x_damp, &mut report);
-                    continue;
-                }
-                let (kept, evicted) = self.scratch.solve(st, seed, m);
-                if evicted != 0 {
-                    // Diverged lanes re-extract from the same seed in the
-                    // same round, preserving each lane's scalar schedule.
-                    self.todo[seed.index()] |= evicted;
-                    self.queue.push(seed);
-                }
-                report.groups_solved += 1;
-                if self.metrics.active {
-                    let occ = u64::from(kept.count_ones());
-                    self.metrics.local_occupancy.observe(occ);
-                    if occ >= 2 {
-                        self.metrics.local_packed += 1;
-                    } else {
-                        self.metrics.local_fallbacks += 1;
+                // Lanes evicted by a structure divergence re-solve from
+                // the same seed straight away, keeping their place in
+                // the round.
+                while m != 0 {
+                    if m & (m - 1) == 0 {
+                        // One active lane: the packed fixed point would
+                        // run full-width plane operations for it; the
+                        // scalar solver computes the identical result
+                        // cheaper.
+                        self.solve_lane_scalar(st, seed, m, x_damp, &mut report);
+                        break;
                     }
-                }
-                for i in 0..self.scratch.members.len() {
-                    let member = self.scratch.members[i];
-                    if self.solved_round[member.index()] == self.round_id {
-                        self.solved_mask[member.index()] |= kept;
-                    } else {
-                        self.solved_round[member.index()] = self.round_id;
-                        self.solved_mask[member.index()] = kept;
-                    }
-                    let old = st.node_state(member).masked(kept);
-                    let mut new = self.scratch.out_values[i];
-                    if x_damp {
-                        new = old.lub(new);
-                    }
-                    let ch = old.diff_mask(new) & kept;
-                    if ch == 0 {
-                        continue;
-                    }
-                    st.set_node_state(member, ch, new);
-                    report.nodes_changed += ch.count_ones() as usize;
-                    // Gate-driven wake-ups for the next round: every
-                    // value change flips an N/P conduction class, and
-                    // depletion gates never change class.
-                    let net = st.network();
-                    for &t in net.gated_transistors(member) {
-                        let tr = net.transistor(t);
-                        if tr.ttype == TransistorType::D {
-                            continue;
-                        }
-                        self.perturb_next(tr.source, ch);
-                        self.perturb_next(tr.drain, ch);
-                    }
+                    let (kept, evicted) = self.scratch.solve(st, seed, m);
+                    m = evicted;
+                    self.apply_packed_group(st, kept, x_damp, &mut report);
                 }
             }
             self.queue.clear();
         }
         report
+    }
+
+    /// Writes the packed group just solved back for the `kept` lanes,
+    /// with round bookkeeping, damping and gate-driven wake-ups.
+    fn apply_packed_group<P: PackedState>(
+        &mut self,
+        st: &mut P,
+        kept: u64,
+        x_damp: bool,
+        report: &mut PackedSettleReport,
+    ) {
+        report.groups_solved += 1;
+        if self.metrics.active {
+            let occ = u64::from(kept.count_ones());
+            self.metrics.local_occupancy.observe(occ);
+            if occ >= 2 {
+                self.metrics.local_packed += 1;
+            } else {
+                self.metrics.local_fallbacks += 1;
+            }
+        }
+        for i in 0..self.scratch.members.len() {
+            let member = self.scratch.members[i];
+            if self.solved_round[member.index()] == self.round_id {
+                self.solved_mask[member.index()] |= kept;
+            } else {
+                self.solved_round[member.index()] = self.round_id;
+                self.solved_mask[member.index()] = kept;
+            }
+            let old = st.node_state(member).masked(kept);
+            let mut new = self.scratch.out_values[i];
+            if x_damp {
+                new = old.lub(new);
+            }
+            let ch = old.diff_mask(new) & kept;
+            if ch == 0 {
+                continue;
+            }
+            st.set_node_state(member, ch, new);
+            report.nodes_changed += ch.count_ones() as usize;
+            // Gate-driven wake-ups for the next round: every value
+            // change flips an N/P conduction class, and depletion gates
+            // never change class.
+            let net = st.network();
+            for &t in net.gated_transistors(member) {
+                let tr = net.transistor(t);
+                if tr.ttype == TransistorType::D {
+                    continue;
+                }
+                self.perturb(tr.source, ch);
+                self.perturb(tr.drain, ch);
+            }
+        }
     }
 
     /// Solves `seed`'s vicinity for exactly one lane through the scalar
@@ -764,19 +814,10 @@ impl PackedEngine {
                 if tr.ttype == TransistorType::D {
                     continue;
                 }
-                self.perturb_next(tr.source, bit);
-                self.perturb_next(tr.drain, bit);
+                self.perturb(tr.source, bit);
+                self.perturb(tr.drain, bit);
             }
         }
-    }
-
-    #[inline]
-    fn perturb_next(&mut self, n: NodeId, lanes: u64) {
-        let e = &mut self.pending[n.index()];
-        if *e == 0 {
-            self.next_queue.push(n);
-        }
-        *e |= lanes;
     }
 }
 

@@ -112,12 +112,6 @@ impl Scratch {
         self.current_epoch = 0;
     }
 
-    /// True iff `n` belongs to the group extracted in the current epoch.
-    #[inline]
-    pub(crate) fn in_group(&self, n: NodeId) -> bool {
-        self.node_epoch[n.index()] == self.current_epoch
-    }
-
     /// Extracts and solves the vicinity containing `seed`, returning an
     /// owned outcome. This is the allocating convenience wrapper around
     /// the zero-allocation internals used by the
@@ -158,7 +152,16 @@ impl Scratch {
         (&self.members, &self.out_values)
     }
 
-    /// Breadth-first vicinity extraction from `seed`.
+    /// Breadth-first vicinity extraction from `seed`, building each
+    /// member's in-edges and boundary sources in the same walk.
+    ///
+    /// Every incident transistor is classified exactly once, from the
+    /// member that discovers it: a conducting member–member channel
+    /// contributes both directed edges at that moment. The order of
+    /// `members`, `incident` and `boundary_inputs` is the walk order;
+    /// the order of a member's in-edges is not significant, because the
+    /// relaxations compute least fixed points over monotone
+    /// eligibility conditions.
     pub(crate) fn extract<S: SwitchState>(&mut self, st: &S, seed: NodeId, static_locality: bool) {
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
@@ -176,6 +179,7 @@ impl Scratch {
         let mut head = 0;
         while head < self.members.len() {
             let m = self.members[head];
+            let li = head;
             head += 1;
             for &t in net.channel_transistors(m) {
                 if self.t_epoch[t.index()] == self.current_epoch {
@@ -184,7 +188,8 @@ impl Scratch {
                 self.t_epoch[t.index()] = self.current_epoch;
                 self.incident.push(t);
                 let cond = st.conduction(t);
-                if !static_locality && !cond.may_conduct() {
+                let conducts = cond.may_conduct();
+                if !static_locality && !conducts {
                     continue;
                 }
                 let tr = net.transistor(t);
@@ -192,6 +197,7 @@ impl Scratch {
                 if other == m {
                     continue; // self-loop carries no signal
                 }
+                let definite = cond.is_closed();
                 if st.is_input(other) {
                     // Input nodes are never members, so reusing the node
                     // mark for dedup of the boundary list is safe.
@@ -199,58 +205,30 @@ impl Scratch {
                         self.node_epoch[other.index()] = self.current_epoch;
                         self.boundary_inputs.push(other);
                     }
-                } else if self.node_epoch[other.index()] != self.current_epoch {
+                    if conducts {
+                        self.sources[li].push(SourceSig {
+                            strength: Strength::INPUT.through(tr.strength),
+                            value: st.node_state(other),
+                            definite,
+                        });
+                    }
+                    continue;
+                }
+                if self.node_epoch[other.index()] != self.current_epoch {
                     self.mark(other);
                 }
-            }
-        }
-        // Undo the membership stamp borrowed by boundary inputs so that
-        // `in_group` answers correctly for them.
-        for &b in &self.boundary_inputs {
-            self.node_epoch[b.index()] = self.current_epoch.wrapping_sub(1);
-        }
-        // Second pass: build in-edges and boundary sources per member
-        // (after extraction so local indices are final).
-        let n = self.members.len();
-        for v in &mut self.edges {
-            v.clear();
-        }
-        for v in &mut self.sources {
-            v.clear();
-        }
-        while self.edges.len() < n {
-            self.edges.push(Vec::new());
-        }
-        while self.sources.len() < n {
-            self.sources.push(Vec::new());
-        }
-        for li in 0..n {
-            let m = self.members[li];
-            for &t in net.channel_transistors(m) {
-                let cond = st.conduction(t);
-                if !cond.may_conduct() {
-                    continue;
-                }
-                let definite = cond.is_closed();
-                let tr = net.transistor(t);
-                let other = tr.other_end(m);
-                if other == m {
-                    continue;
-                }
-                if st.is_input(other) {
-                    self.sources[li].push(SourceSig {
-                        strength: Strength::INPUT.through(tr.strength),
-                        value: st.node_state(other),
+                if conducts {
+                    let lo = self.node_local[other.index()];
+                    let from = u32::try_from(li).expect("group too large");
+                    let drive = tr.strength;
+                    self.edges[li].push(Edge {
+                        from: lo,
+                        drive,
                         definite,
                     });
-                } else {
-                    debug_assert!(
-                        self.in_group(other),
-                        "conducting neighbour must be in group"
-                    );
-                    self.edges[li].push(Edge {
-                        from: self.node_local[other.index()],
-                        drive: tr.strength,
+                    self.edges[lo as usize].push(Edge {
+                        from,
+                        drive,
                         definite,
                     });
                 }
@@ -258,11 +236,21 @@ impl Scratch {
         }
     }
 
+    /// Adds `n` to the group under the next local index, with empty
+    /// edge and source lists.
     #[inline]
     fn mark(&mut self, n: NodeId) {
+        let li = self.members.len();
         self.node_epoch[n.index()] = self.current_epoch;
-        self.node_local[n.index()] = u32::try_from(self.members.len()).expect("group too large");
+        self.node_local[n.index()] = u32::try_from(li).expect("group too large");
         self.members.push(n);
+        if li == self.edges.len() {
+            self.edges.push(Vec::new());
+            self.sources.push(Vec::new());
+        } else {
+            self.edges[li].clear();
+            self.sources[li].clear();
+        }
     }
 
     /// Solves the five fixed points and resolves member values into
@@ -271,6 +259,18 @@ impl Scratch {
     pub(crate) fn steady_state<S: SwitchState>(&mut self, st: &S) {
         let n = self.members.len();
         let net = st.network();
+        if n == 1 {
+            // A single member has no in-edges, so every fixed point is
+            // its initialisation: resolve in closed form.
+            let node = self.members[0];
+            self.out_values.clear();
+            self.out_values.push(resolve_alone(
+                Strength::from_size(net.node(node).size()),
+                st.node_state(node),
+                &self.sources[0],
+            ));
+            return;
+        }
         let resize = |v: &mut Vec<Strength>| {
             v.clear();
             v.resize(n, Strength::NONE);
@@ -373,6 +373,40 @@ impl Scratch {
             definite_edges_only,
             eligible,
         );
+    }
+}
+
+/// The steady state of a one-member group: the five fixed points of
+/// [`Scratch::steady_state`] reduced to their initialisations (own
+/// charge at `size` strength holding `old`, plus the boundary
+/// `sources`), then the usual resolution rule.
+fn resolve_alone(size: Strength, old: Logic, sources: &[SourceSig]) -> Logic {
+    let charge = |present: bool| if present { size } else { Strength::NONE };
+    let mut pos1 = charge(old != Logic::L);
+    let mut pos0 = charge(old != Logic::H);
+    let mut def1 = charge(old == Logic::H);
+    let mut def0 = charge(old == Logic::L);
+    for s in sources {
+        if s.value != Logic::L {
+            pos1 = pos1.max(s.strength);
+        }
+        if s.value != Logic::H {
+            pos0 = pos0.max(s.strength);
+        }
+        if s.definite {
+            match s.value {
+                Logic::H => def1 = def1.max(s.strength),
+                Logic::L => def0 = def0.max(s.strength),
+                Logic::X => {}
+            }
+        }
+    }
+    if def1 > pos0 {
+        Logic::H
+    } else if def0 > pos1 {
+        Logic::L
+    } else {
+        Logic::X
     }
 }
 
@@ -1220,8 +1254,7 @@ mod tests {
         scr.extract(&st, out, false);
         assert_eq!(scr.boundary_inputs, vec![vdd]);
         assert_eq!(scr.incident.len(), 1);
-        assert!(scr.in_group(out));
-        assert!(!scr.in_group(vdd));
+        assert_eq!(scr.members, vec![out], "inputs are never members");
     }
 
     #[test]

@@ -12,9 +12,18 @@
 //! 4. **Locality ablation equivalence**: static (DC-component) and
 //!    dynamic (conduction-bounded) vicinity extraction produce the same
 //!    states.
+//! 5. **Scalar/packed solver agreement**: on arbitrary storage states,
+//!    per-machine forced conductions and forced inputs, the scalar
+//!    group solver gives every machine exactly the members and values
+//!    the independently written packed solver gives its lane.
 
-use fmossim_netlist::{Drive, Logic, Network, NodeId, Size, TransistorType};
-use fmossim_switch::{EngineConfig, LocalityMode, LogicSim};
+use fmossim_netlist::{
+    Conduction, Drive, Logic, Network, NodeId, Size, TransistorId, TransistorType,
+};
+use fmossim_switch::{
+    EngineConfig, LocalityMode, LogicSim, PackedDenseState, PackedScratch, PackedState, Scratch,
+    SwitchState,
+};
 use proptest::prelude::*;
 
 /// A compact recipe for a random network that proptest can shrink.
@@ -75,8 +84,100 @@ fn build(recipe: &NetRecipe) -> (Network, Vec<NodeId>) {
     (net, input_ids)
 }
 
+fn arb_logic() -> impl Strategy<Value = Logic> {
+    prop_oneof![Just(Logic::L), Just(Logic::H), Just(Logic::X)]
+}
+
+/// One lane of a [`PackedDenseState`] as a scalar [`SwitchState`].
+struct Lane<'a, 'n> {
+    st: &'a PackedDenseState<'n>,
+    lane: u32,
+}
+
+impl SwitchState for Lane<'_, '_> {
+    fn network(&self) -> &Network {
+        self.st.network()
+    }
+
+    fn node_state(&self, n: NodeId) -> Logic {
+        self.st.lane_value(n, self.lane)
+    }
+
+    fn set_node_state(&mut self, _n: NodeId, _v: Logic) {
+        unreachable!("the solvers only read");
+    }
+
+    fn is_input(&self, n: NodeId) -> bool {
+        self.st.is_input_lanes(n) >> self.lane & 1 == 1
+    }
+
+    fn conduction(&self, t: TransistorId) -> Conduction {
+        let pc = self.st.conduction(t);
+        if pc.closed >> self.lane & 1 == 1 {
+            Conduction::Closed
+        } else if pc.maybe >> self.lane & 1 == 1 {
+            Conduction::Maybe
+        } else {
+            Conduction::Open
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn scalar_solver_matches_packed_oracle(
+        recipe in arb_recipe(),
+        lanes in 1u32..6,
+        states in prop::collection::vec(arb_logic(), 1..60),
+        faults in prop::collection::vec((any::<u16>(), 0u8..4, arb_logic()), 0..5),
+    ) {
+        let (net, _) = build(&recipe);
+        let storage: Vec<NodeId> = net.node_ids().filter(|&n| !net.node(n).is_input()).collect();
+        let mut st = PackedDenseState::broadcast(&fmossim_switch::DenseState::new(&net), lanes);
+        // Arbitrary per-lane storage states (X included), so lanes
+        // disagree on gates and therefore on group structure.
+        for lane in 0..lanes {
+            for (i, &n) in storage.iter().enumerate() {
+                st.force_lane(n, lane, states[(lane as usize * storage.len() + i) % states.len()]);
+            }
+        }
+        // Per-lane faults: forced conductions and stuck storage nodes.
+        for &(pick, kind, v) in &faults {
+            let lane = u32::from(pick) % lanes;
+            if kind == 3 {
+                st.force_input_lane(storage[pick as usize % storage.len()], lane, v);
+            } else {
+                let t = TransistorId::from_index(pick as usize % net.num_transistors());
+                let c = [Conduction::Open, Conduction::Closed, Conduction::Maybe][kind as usize];
+                st.force_conduction_lane(t, lane, c);
+            }
+        }
+        let mut scalar = Scratch::new(net.num_nodes(), net.num_transistors());
+        let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
+        for &seed in &storage {
+            // Packed passes until every lane where `seed` is storage has
+            // been solved; evicted lanes re-solve from the same seed.
+            let mut pending = st.lanes() & !st.is_input_lanes(seed);
+            while pending != 0 {
+                let out = packed.solve_group_packed(&st, seed, pending);
+                prop_assert!(out.lanes != 0 && out.lanes & out.evicted == 0);
+                prop_assert_eq!(out.lanes | out.evicted, pending);
+                let mut kept = out.lanes;
+                while kept != 0 {
+                    let lane = kept.trailing_zeros();
+                    kept &= kept - 1;
+                    let got = scalar.solve_group(&Lane { st: &st, lane }, seed, false);
+                    prop_assert_eq!(&got.members, &out.members, "lane {} seed {:?}", lane, seed);
+                    let want: Vec<Logic> =
+                        out.values.iter().map(|v| v.get(lane).expect("solved lane")).collect();
+                    prop_assert_eq!(&got.values, &want, "lane {} seed {:?}", lane, seed);
+                }
+                pending = out.evicted;
+            }
+        }
+    }
 
     #[test]
     fn settle_reaches_fixed_point(recipe in arb_recipe()) {

@@ -120,9 +120,10 @@ echoes what actually resolved.
 --packing on enables the bit-parallel packed evaluation path on the
 concurrent-family backends (concurrent, parallel, adaptive): fault
 machines triggered by the same events settle together, up to 64 per
-bitwise pass over two-plane ternary words. Results are bit-identical
-to --packing off; only the work counters in the telemetry differ. The
-default is off.
+bitwise pass over two-plane ternary words. Every lane solves its
+groups in the order the scalar path would, so results are
+bit-identical to --packing off; only the work counters in the
+telemetry differ. The default is off.
 
 --collapse on runs static fault collapsing before the campaign:
 structurally equivalent faults (parallel twins, series stuck-opens

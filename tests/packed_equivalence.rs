@@ -13,9 +13,12 @@
 //! zoo fixtures do not; `tests/zoo_equivalence.rs` carries the packed
 //! backends through the cross-backend campaign matrix.
 
-use fmossim::concurrent::{ConcurrentConfig, ConcurrentSim, Pattern, Phase, RunReport};
-use fmossim::faults::{FaultId, FaultUniverse};
-use fmossim::netlist::{Drive, Logic, Network, NodeId, Size, TransistorType};
+use fmossim::concurrent::{
+    ConcurrentConfig, ConcurrentSim, DetectionPolicy, Pattern, PatternStats, Phase, RunReport,
+};
+use fmossim::faults::{Fault, FaultId, FaultUniverse};
+use fmossim::netlist::{Drive, Logic, Network, NodeId, Size, TransistorId, TransistorType};
+use fmossim::testgen::zoo::build_zoo;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +34,17 @@ fn assert_lane_equivalence(
     patterns: &[Pattern],
     outputs: &[NodeId],
 ) -> (RunReport, RunReport) {
-    let scalar_cfg = ConcurrentConfig::paper();
+    assert_lane_equivalence_with(net, universe, patterns, outputs, ConcurrentConfig::paper())
+}
+
+/// [`assert_lane_equivalence`] from a given scalar configuration.
+fn assert_lane_equivalence_with(
+    net: &Network,
+    universe: &FaultUniverse,
+    patterns: &[Pattern],
+    outputs: &[NodeId],
+    scalar_cfg: ConcurrentConfig,
+) -> (RunReport, RunReport) {
     let packed_cfg = ConcurrentConfig {
         packing: true,
         ..scalar_cfg
@@ -66,6 +79,14 @@ fn assert_lane_equivalence(
         );
     }
     (s_rep, p_rep)
+}
+
+/// The paper's configuration under `DefiniteOnly` detection.
+fn definite_only() -> ConcurrentConfig {
+    ConcurrentConfig {
+        policy: DetectionPolicy::DefiniteOnly,
+        ..ConcurrentConfig::paper()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -209,5 +230,61 @@ proptest! {
             .sample(12, seed);
         prop_assume!(!universe.faults().is_empty());
         assert_lane_equivalence(&case.net, &universe, &case.patterns, &case.outputs);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Zoo regressions: each lane keeps its scalar position in the round.
+// ---------------------------------------------------------------------
+
+/// `counter6` under the full universe and `DefiniteOnly`. Packed lanes
+/// once met their groups in a different order within a round than the
+/// scalar engine (a shared node-ordered round queue, and evicted lanes
+/// re-queued at the round's end), which moved three stuck-open faults:
+/// 332 detected at pattern 16 instead of 8, 394 and 518 lost.
+#[test]
+fn counter6_all_universe_packed_matches_scalar() {
+    let w = build_zoo("counter6").expect("zoo member");
+    let universe =
+        FaultUniverse::stuck_nodes(&w.net).union(FaultUniverse::stuck_transistors(&w.net));
+    assert_lane_equivalence_with(&w.net, &universe, &w.patterns, &w.outputs, definite_only());
+}
+
+/// The smallest `counter6` fault set the round-order bug showed on: the
+/// stuck-open pull-up's circuit ended pattern 15 with `CB4.nb` at X
+/// packed but L scalar. Its lanes re-converge by the end of the run, so
+/// states are compared at every phase boundary.
+#[test]
+fn counter6_lane_order_matches_scalar_every_phase() {
+    let w = build_zoo("counter6").expect("zoo member");
+    let universe = FaultUniverse::from_faults(vec![
+        Fault::TransistorStuckClosed(TransistorId::from_index(129)),
+        Fault::TransistorStuckClosed(TransistorId::from_index(130)),
+        Fault::TransistorStuckOpen(TransistorId::from_index(135)),
+        Fault::TransistorStuckClosed(TransistorId::from_index(146)),
+        Fault::TransistorStuckClosed(TransistorId::from_index(148)),
+    ]);
+    let mut scalar = ConcurrentSim::new(&w.net, universe.faults(), definite_only());
+    let packed_cfg = ConcurrentConfig {
+        packing: true,
+        ..definite_only()
+    };
+    let mut packed = ConcurrentSim::new(&w.net, universe.faults(), packed_cfg);
+    let (mut s_stats, mut p_stats) = (PatternStats::default(), PatternStats::default());
+    for (pi, pattern) in w.patterns.iter().enumerate() {
+        for (phi, phase) in pattern.phases.iter().enumerate() {
+            scalar.step_phase(phase, &w.outputs, pi, phi, &mut s_stats);
+            packed.step_phase(phase, &w.outputs, pi, phi, &mut p_stats);
+            for (f, _) in universe.iter() {
+                for n in w.net.node_ids() {
+                    assert_eq!(
+                        packed.fault_state(f, n),
+                        scalar.fault_state(f, n),
+                        "pattern {pi} phase {phi}: fault {f:?} diverged at {}",
+                        w.net.node(n).name
+                    );
+                }
+            }
+        }
     }
 }
