@@ -585,7 +585,7 @@ impl<'n> ConcurrentSim<'n> {
             (config.packing && config.engine.locality == LocalityMode::Dynamic).then(|| {
                 Box::new(PackedLanes {
                     engine: PackedEngine::with_config(net, config.engine),
-                    scratch: PackedViewScratch::new(net.num_nodes()),
+                    scratch: PackedViewScratch::new(net.num_nodes(), net.num_transistors()),
                     batch: Vec::new(),
                     shared: Vec::new(),
                     solo: Vec::new(),

@@ -55,7 +55,5 @@ pub use overlay::{FaultyView, Overrides, SerialState, ViewCache};
 pub use pattern::{stimulus_content_hash, Pattern, Phase};
 pub use records::{StateListStore, StateLists};
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};
-#[allow(deprecated)]
-pub use serial::GoodTrace;
 pub use serial::{GoodObservations, SerialConfig, SerialOutcome, SerialReport, SerialSim};
 pub use tape::{GoodTape, PhaseTape, TapeRecorder};

@@ -222,7 +222,8 @@ impl StateLists {
     }
 
     /// Visits the records at `n` as `(circuit, state)` pairs without
-    /// allocating (SortedVec backend; used by the packed-lane gather).
+    /// allocating (used by the strobe and, on the Hash backend, the
+    /// packed-lane gather).
     pub fn for_records_at(&self, n: NodeId, mut f: impl FnMut(u32, Logic)) {
         match self.store {
             StateListStore::SortedVec => {
@@ -235,6 +236,16 @@ impl StateLists {
                     f(c, v);
                 }
             }
+        }
+    }
+
+    /// The records at `n` as `(circuit, state)` pairs in ascending
+    /// circuit order, borrowed from the SortedVec backend; `None` for
+    /// the Hash backend, which keeps no per-node list.
+    pub(crate) fn sorted_records_at(&self, n: NodeId) -> Option<&[(u32, Logic)]> {
+        match self.store {
+            StateListStore::SortedVec => Some(&self.per_node[n.index()]),
+            StateListStore::Hash => None,
         }
     }
 

@@ -210,7 +210,9 @@ impl CampaignBackend for ServedBackend {
                 };
                 // The coordinator only hangs up after collecting all
                 // n_shards messages, so this send cannot fail; being
-                // defensive costs nothing.
+                // defensive costs nothing. A shard that panics never
+                // gets here: the pool catches the panic and the unwind
+                // drops this sender unsent.
                 let _ = tx.send((s, ids.len(), outcome, fork));
             });
         }
@@ -221,7 +223,18 @@ impl CampaignBackend for ServedBackend {
         let mut skipped = 0usize;
         let mut detected_weight = 0usize;
         let mut stopped_early = false;
-        for (s, faults, outcome, fork) in rx {
+        // Count replies against the plan rather than draining `rx`: a
+        // panicked shard hangs up without replying, and a drained loop
+        // would end early and merge a report silently missing its
+        // faults. A missing shard fails the whole job instead.
+        for received in 0..n_shards {
+            let Ok((s, faults, outcome, fork)) = rx.recv() else {
+                panic!(
+                    "{} of {n_shards} shard(s) ended without a report (a shard task panicked); \
+                     refusing to merge a partial result",
+                    n_shards - received
+                );
+            };
             self.telemetry.merge(&fork);
             match outcome {
                 Some(report) => {

@@ -16,6 +16,7 @@
 
 use fmossim_telemetry::{Gauge, Registry};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -162,7 +163,11 @@ fn worker_loop(inner: &Inner) {
                 state = inner.ready.wait(state).expect("pool state poisoned");
             }
         };
-        task();
+        // A panicking task must not take its worker down with it: the
+        // pool would silently shrink for the life of the server. The
+        // task's captures (its result sender included) are dropped by
+        // the unwind, which is how its submitter learns of the failure.
+        let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
 
@@ -230,6 +235,26 @@ mod tests {
         gate_tx.send(()).unwrap();
         drop(pool); // drains and joins
         assert_eq!(registry.gauge("serve.pool.depth").get(), 0.0);
+    }
+
+    #[test]
+    fn a_panicking_task_does_not_kill_its_worker() {
+        // One worker: if the panic took it down, the second task would
+        // never run.
+        let pool = SharedPool::new(1, &Registry::null());
+        let (tx, rx) = mpsc::channel();
+        let doomed = tx.clone();
+        pool.submit(0, move || {
+            let _keep = doomed;
+            panic!("injected task failure");
+        });
+        pool.submit(0, move || tx.send(7u32).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(7));
+        assert_eq!(
+            rx.recv(),
+            Err(mpsc::RecvError),
+            "the panicked task's sender was dropped"
+        );
     }
 
     #[test]

@@ -327,9 +327,14 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
             state.registry.counter(counter).inc();
             job.finish(report);
         }
-        Err(_) => {
+        Err(payload) => {
             state.registry.counter("serve.jobs.failed").inc();
-            job.fail("internal error while running the campaign".into());
+            let why = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("unknown panic");
+            job.fail(format!("internal error while running the campaign: {why}"));
         }
     }
 }
@@ -355,4 +360,87 @@ fn stream_events(job: &Arc<Job>, w: &mut BufWriter<TcpStream>) -> io::Result<()>
         }
     }
     finish_chunked(w)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::served_config;
+    use crate::job::JobStatus;
+    use crate::proto::parse_submission;
+    use fmossim_campaign::{Backend, ParallelConfig};
+    use fmossim_faults::{Fault, FaultUniverse};
+    use fmossim_netlist::TransistorId;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `spec` as a job on `state` from a coordinator thread, the
+    /// way `submit` does, and waits (bounded) for it to end.
+    fn run_to_end(state: &Arc<ServerState>, spec: JobSpec) -> Arc<Job> {
+        let job = state.jobs.create(spec.name.clone());
+        let (tx, rx) = mpsc::channel();
+        let coordinator = {
+            let state = Arc::clone(state);
+            let job = Arc::clone(&job);
+            std::thread::spawn(move || {
+                run_job(&state, &job, spec);
+                let _ = tx.send(());
+            })
+        };
+        rx.recv_timeout(Duration::from_secs(120))
+            .expect("job ended (a dead pool worker would hang it)");
+        coordinator.join().expect("run_job catches every panic");
+        job
+    }
+
+    /// A shard that panics fails its job explicitly: no `done` status,
+    /// no report missing that shard's faults, and the one pool worker
+    /// that ran it still serves the next job.
+    #[test]
+    fn a_panicking_shard_fails_the_job_and_keeps_the_pool() {
+        let registry = Registry::new();
+        let state = Arc::new(ServerState {
+            pool: Arc::new(SharedPool::new(1, &registry)),
+            jobs: JobTable::new(),
+            cache: TapeCache::new(64 << 20, &registry),
+            registry,
+            default_shards: DEFAULT_SHARDS,
+        });
+        let clean = parse_submission(r#"{"circuit": "ram4x4", "shards": 4}"#, DEFAULT_SHARDS)
+            .expect("valid submission");
+
+        // A fault naming a transistor the netlist lacks panics in the
+        // one shard the plan gives it to; the other three shards grade
+        // normally.
+        let mut poisoned = clean.clone();
+        let mut faults = poisoned.universe.faults().to_vec();
+        faults.push(Fault::TransistorStuckOpen(TransistorId::from_index(
+            poisoned.net.num_transistors() + 7,
+        )));
+        poisoned.universe = FaultUniverse::from_faults(faults);
+        let failed = run_to_end(&state, poisoned);
+        assert_eq!(failed.status(), JobStatus::Failed);
+        assert!(failed.report().is_none(), "no partial report is published");
+        let doc = failed.status_json();
+        assert!(
+            doc.contains("1 of 4 shard(s) ended without a report"),
+            "the failure names the missing shard: {doc}"
+        );
+        assert_eq!(state.registry.counter("serve.jobs.failed").get(), 1);
+
+        // The same pool, still one worker, grades the clean job in full.
+        let mut config = ParallelConfig::paper(2);
+        config.sim = served_config();
+        let offline = Campaign::new(&clean.net)
+            .faults(clean.universe.clone())
+            .patterns(&clean.patterns)
+            .outputs(&clean.outputs)
+            .backend(Backend::Parallel(config))
+            .run();
+        let done = run_to_end(&state, clean);
+        assert_eq!(done.status(), JobStatus::Done);
+        let report = done.report().expect("done jobs carry a report");
+        assert_eq!(report.shards, Some(4));
+        assert_eq!(report.run.detections, offline.run.detections);
+    }
 }

@@ -524,6 +524,18 @@ impl Ranks {
         acc.reduce_or()
     }
 
+    /// Mask of lanes where `max(a, b)` is strictly greater than
+    /// `self`: `a.gt(self) | b.gt(self)` in one sweep over the planes
+    /// (a thermometer code's `max` is its plane-wise OR).
+    #[inline]
+    fn below_max(&self, a: &Ranks, b: &Ranks) -> u64 {
+        let mut acc = 0u64;
+        for r in 1..PLANES {
+            acc |= (a.ge[r] | b.ge[r]) & !self.ge[r];
+        }
+        acc
+    }
+
     /// Merges `min(src, rank max_rank)` into `self` for the lanes in
     /// `mask` (attenuation through a drive followed by `max`). Returns
     /// whether any plane changed.
@@ -648,12 +660,6 @@ impl PackedScratch {
         }
     }
 
-    /// True iff `n` belongs to the group extracted in the current epoch.
-    #[inline]
-    pub(crate) fn in_group(&self, n: NodeId) -> bool {
-        self.node_epoch[n.index()] == self.current_epoch
-    }
-
     /// Extracts and solves the vicinity of `seed` for the machines in
     /// `active`, returning an owned outcome. Up to 64 machines settle
     /// in one pass; machines whose support diverges are evicted (see
@@ -704,14 +710,24 @@ impl PackedScratch {
     }
 
     /// Breadth-first vicinity extraction from `seed`, evicting lanes
-    /// whose structure diverges from the majority class.
+    /// whose structure diverges from the majority class, and building
+    /// each member's in-edges and boundary sources in the same walk.
     ///
     /// Uniformity rule: whenever the active lanes disagree on a
     /// transistor's conduction class (open / closed / maybe) or on a
     /// node's input classification, the class containing the lowest
     /// active lane is kept and the others are evicted. Shrinking the
     /// lane set mid-walk is sound because every classification already
-    /// made is uniform over a superset of the surviving lanes.
+    /// made is uniform over a superset of the surviving lanes, so every
+    /// edge and source recorded before an eviction still holds for the
+    /// survivors. Source *values* may still carry evicted lanes;
+    /// [`PackedScratch::steady_state`] masks every read with the
+    /// surviving lanes.
+    ///
+    /// As in [`Scratch::extract`], each incident transistor is
+    /// classified once, from the member that discovers it, and a
+    /// conducting member–member channel contributes both directed edges
+    /// at that moment.
     fn extract<P: PackedState>(&mut self, st: &P, seed: NodeId, active: u64) {
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
@@ -727,6 +743,7 @@ impl PackedScratch {
         let mut head = 0;
         while head < self.members.len() {
             let m = self.members[head];
+            let li = head;
             head += 1;
             for &t in net.channel_transistors(m) {
                 if self.t_epoch[t.index()] == self.current_epoch {
@@ -757,7 +774,8 @@ impl PackedScratch {
                 if other == m {
                     continue; // self-loop carries no signal
                 }
-                let mut inp = st.is_input_lanes(other) & cur;
+                let definite = closed & cur != 0;
+                let inp = st.is_input_lanes(other) & cur;
                 if inp != 0 && inp != cur {
                     let keep = if inp & (cur & cur.wrapping_neg()) != 0 {
                         inp
@@ -766,74 +784,51 @@ impl PackedScratch {
                     };
                     self.evicted |= cur & !keep;
                     cur = keep;
-                    inp &= cur;
                 }
-                if inp == 0 && self.node_epoch[other.index()] != self.current_epoch {
+                if inp & cur != 0 {
+                    self.sources[li].push(PackedSource {
+                        strength: Strength::INPUT.through(tr.strength),
+                        value: st.node_state(other),
+                        definite,
+                    });
+                    continue;
+                }
+                if self.node_epoch[other.index()] != self.current_epoch {
                     self.mark(other);
                 }
+                let lo = self.node_local[other.index()];
+                let from = u32::try_from(li).expect("group too large");
+                let drive = tr.strength;
+                self.edges[li].push(Edge {
+                    from: lo,
+                    drive,
+                    definite,
+                });
+                self.edges[lo as usize].push(Edge {
+                    from,
+                    drive,
+                    definite,
+                });
             }
         }
         self.cur = cur;
-        // Second pass: build in-edges and boundary sources per member.
-        // Eviction guarantees every incident transistor and neighbour is
-        // lane-uniform over `cur`, so edges carry scalar structure and
-        // only source *values* stay per-lane.
-        let n = self.members.len();
-        for v in &mut self.edges {
-            v.clear();
-        }
-        for v in &mut self.sources {
-            v.clear();
-        }
-        while self.edges.len() < n {
-            self.edges.push(Vec::new());
-        }
-        while self.sources.len() < n {
-            self.sources.push(Vec::new());
-        }
-        for li in 0..n {
-            let m = self.members[li];
-            for &t in net.channel_transistors(m) {
-                let pc = st.conduction(t);
-                let may = pc.may_conduct() & cur;
-                if may == 0 {
-                    continue;
-                }
-                debug_assert_eq!(may, cur, "conduction must be lane-uniform after eviction");
-                let definite = pc.closed & cur == cur;
-                let tr = net.transistor(t);
-                let other = tr.other_end(m);
-                if other == m {
-                    continue;
-                }
-                let inp = st.is_input_lanes(other) & cur;
-                if inp == cur {
-                    self.sources[li].push(PackedSource {
-                        strength: Strength::INPUT.through(tr.strength),
-                        value: st.node_state(other).masked(cur),
-                        definite,
-                    });
-                } else {
-                    debug_assert_eq!(inp, 0, "input class must be lane-uniform after eviction");
-                    debug_assert!(
-                        self.in_group(other),
-                        "conducting neighbour must be in group"
-                    );
-                    self.edges[li].push(Edge {
-                        from: self.node_local[other.index()],
-                        drive: tr.strength,
-                        definite,
-                    });
-                }
-            }
-        }
     }
 
+    /// Adds `n` to the group under the next local index, with empty
+    /// edge and source lists.
     #[inline]
     fn mark(&mut self, n: NodeId) {
+        let li = self.members.len();
         self.node_epoch[n.index()] = self.current_epoch;
-        self.node_local[n.index()] = u32::try_from(self.members.len()).expect("group too large");
+        self.node_local[n.index()] = u32::try_from(li).expect("group too large");
         self.members.push(n);
+        if li == self.edges.len() {
+            self.edges.push(Vec::new());
+            self.sources.push(Vec::new());
+        } else {
+            self.edges[li].clear();
+            self.sources[li].clear();
+        }
     }
 
     /// Solves the five fixed points for every surviving lane at once and
@@ -848,6 +843,19 @@ impl PackedScratch {
         let n = self.members.len();
         let net = st.network();
         let lanes = self.cur;
+        if n == 1 {
+            // A single member has no in-edges, so every fixed point is
+            // its initialisation: resolve in closed form.
+            let node = self.members[0];
+            self.out_values.clear();
+            self.out_values.push(resolve_alone_packed(
+                Strength::from_size(net.node(node).size()).rank(),
+                st.node_state(node),
+                &self.sources[0],
+                lanes,
+            ));
+            return;
+        }
         self.def_s.clear();
         self.def_s.resize(n, Strength::NONE);
         for arr in [&mut self.pos, &mut self.defv] {
@@ -928,7 +936,7 @@ impl PackedScratch {
             }
             packed_relax(&self.edges[..n], &mut defv, true, lanes, |ranks, from| {
                 let f = from as usize;
-                lanes & !pos1[f].gt(&ranks[f]) & !pos0[f].gt(&ranks[f])
+                lanes & !ranks[f].below_max(&pos1[f], &pos0[f])
             });
             self.defv[idx] = defv;
         }
@@ -945,6 +953,41 @@ impl PackedScratch {
                 l: lanes & !one,
             });
         }
+    }
+}
+
+/// The packed steady state of a one-member group for the lanes in
+/// `lanes`: the fixed points of [`PackedScratch::steady_state`] reduced
+/// to their initialisations (own charge at rank `size_rank` holding
+/// `old`, plus the boundary `sources`), then the usual resolution rule
+/// — the lane-parallel [`resolve_alone`].
+fn resolve_alone_packed(
+    size_rank: usize,
+    old: PackedLogic,
+    sources: &[PackedSource],
+    lanes: u64,
+) -> PackedLogic {
+    let (mut pos1, mut pos0, mut def1, mut def0) =
+        (Ranks::EMPTY, Ranks::EMPTY, Ranks::EMPTY, Ranks::EMPTY);
+    pos1.raise(old.h & lanes, size_rank);
+    pos0.raise(old.l & lanes, size_rank);
+    def1.raise(old.exactly_h() & lanes, size_rank);
+    def0.raise(old.exactly_l() & lanes, size_rank);
+    for s in sources {
+        let rank = s.strength.rank();
+        pos1.raise(s.value.h & lanes, rank);
+        pos0.raise(s.value.l & lanes, rank);
+        if s.definite {
+            def1.raise(s.value.exactly_h() & lanes, rank);
+            def0.raise(s.value.exactly_l() & lanes, rank);
+        }
+    }
+    let one = def1.gt(&pos0) & lanes;
+    let zero = def0.gt(&pos1) & lanes;
+    debug_assert_eq!(one & zero, 0, "resolution rule cannot pick both values");
+    PackedLogic {
+        h: lanes & !zero,
+        l: lanes & !one,
     }
 }
 

@@ -21,8 +21,8 @@ use fmossim_netlist::{
     Conduction, Drive, Logic, Network, NodeId, Size, TransistorId, TransistorType,
 };
 use fmossim_switch::{
-    EngineConfig, LocalityMode, LogicSim, PackedDenseState, PackedScratch, PackedState, Scratch,
-    SwitchState,
+    EngineConfig, LocalityMode, LogicSim, PackedDenseState, PackedOutcome, PackedScratch,
+    PackedState, Scratch, SwitchState,
 };
 use proptest::prelude::*;
 
@@ -123,6 +123,124 @@ impl SwitchState for Lane<'_, '_> {
     }
 }
 
+/// Solves every storage seed with the packed solver — evicted lanes
+/// re-solve from the same seed until none remain — and checks that the
+/// scalar solver gives each solved lane the same members and values.
+/// Returns the first packed pass of each seed, for tests that pin the
+/// shape of a solve.
+fn solvers_agree(
+    st: &PackedDenseState<'_>,
+    storage: &[NodeId],
+) -> Result<Vec<PackedOutcome>, TestCaseError> {
+    let net = st.network();
+    let mut scalar = Scratch::new(net.num_nodes(), net.num_transistors());
+    let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
+    let mut first_passes = Vec::new();
+    for &seed in storage {
+        let mut pending = st.lanes() & !st.is_input_lanes(seed);
+        while pending != 0 {
+            let out = packed.solve_group_packed(st, seed, pending);
+            prop_assert!(out.lanes != 0 && out.lanes & out.evicted == 0);
+            prop_assert_eq!(out.lanes | out.evicted, pending);
+            let mut kept = out.lanes;
+            while kept != 0 {
+                let lane = kept.trailing_zeros();
+                kept &= kept - 1;
+                let got = scalar.solve_group(&Lane { st, lane }, seed, false);
+                prop_assert_eq!(&got.members, &out.members, "lane {} seed {:?}", lane, seed);
+                let want: Vec<Logic> = out
+                    .values
+                    .iter()
+                    .map(|v| v.get(lane).expect("solved lane"))
+                    .collect();
+                prop_assert_eq!(&got.values, &want, "lane {} seed {:?}", lane, seed);
+            }
+            if pending == st.lanes() & !st.is_input_lanes(seed) {
+                first_passes.push(out.clone());
+            }
+            pending = out.evicted;
+        }
+    }
+    Ok(first_passes)
+}
+
+/// A one-member group fed by a definite source D and a stronger
+/// possible source M, each with per-lane H, L and X values, plus
+/// per-lane charge: the packed closed form against
+/// the scalar one. Where M's value opposes D's, only M's
+/// non-definiteness keeps the result at X.
+#[test]
+fn packed_oracle_pins_one_member_group_with_mixed_sources() {
+    let mut net = Network::new();
+    let on = net.add_input("ON", Logic::H);
+    let unsure = net.add_input("UNSURE", Logic::X);
+    let off = net.add_input("OFF", Logic::L);
+    let out = net.add_storage("OUT", Size::S2);
+    // D and M are storage nodes stuck as inputs in every lane, with
+    // per-lane values; NB sits behind an open transistor.
+    let d = net.add_storage("D", Size::S1);
+    let m = net.add_storage("M", Size::S1);
+    let nb = net.add_storage("NB", Size::S1);
+    net.add_transistor(TransistorType::N, Drive::D1, on, d, out);
+    net.add_transistor(TransistorType::N, Drive::D2, unsure, out, m);
+    net.add_transistor(TransistorType::N, Drive::D2, off, out, nb);
+    let lanes = 9u32;
+    let mut st = PackedDenseState::broadcast(&fmossim_switch::DenseState::new(&net), lanes);
+    let vals = [Logic::H, Logic::L, Logic::X];
+    for lane in 0..lanes {
+        let (i, j) = (lane as usize % 3, lane as usize / 3);
+        st.force_input_lane(d, lane, vals[i]);
+        st.force_input_lane(m, lane, vals[j]);
+        st.force_lane(out, lane, vals[(i + j) % 3]);
+    }
+    let firsts = solvers_agree(&st, &[out]).unwrap();
+    let first = &firsts[0];
+    assert_eq!(first.members, vec![out], "OUT settles alone");
+    assert_eq!(first.lanes, st.lanes(), "one pass, no eviction");
+    let outcomes: Vec<Logic> = (0..lanes)
+        .map(|lane| first.values[0].get(lane).unwrap())
+        .collect();
+    // Lane i + 3j has D = vals[i], M = vals[j].
+    assert_eq!(outcomes[0], Logic::H, "D and M agree on H");
+    assert_eq!(outcomes[4], Logic::L, "D and M agree on L");
+    assert_eq!(outcomes[1], Logic::X, "a possible H opposes a definite L");
+}
+
+/// Lanes evicted in the middle of the walk, after the survivors'
+/// member–member edges are already built: A–B conducts in every lane,
+/// then B–C conducts in only some, and C is stuck as an input in
+/// another.
+#[test]
+fn packed_oracle_pins_mid_walk_eviction_after_edges() {
+    let mut net = Network::new();
+    let vdd = net.add_input("Vdd", Logic::H);
+    let gnd = net.add_input("Gnd", Logic::L);
+    let on = net.add_input("ON", Logic::H);
+    let a = net.add_storage("A", Size::S2);
+    let b = net.add_storage("B", Size::S1);
+    let c = net.add_storage("C", Size::S1);
+    net.add_transistor(TransistorType::N, Drive::D1, on, vdd, a);
+    net.add_transistor(TransistorType::N, Drive::D2, on, a, b);
+    let bc = net.add_transistor(TransistorType::N, Drive::D2, on, b, c);
+    net.add_transistor(TransistorType::N, Drive::D1, on, c, gnd);
+    let lanes = 5u32;
+    let mut st = PackedDenseState::broadcast(&fmossim_switch::DenseState::new(&net), lanes);
+    let vals = [Logic::H, Logic::L, Logic::X];
+    for lane in 0..lanes {
+        st.force_lane(a, lane, vals[lane as usize % 3]);
+        st.force_lane(b, lane, vals[(lane as usize + 1) % 3]);
+        st.force_lane(c, lane, vals[(lane as usize + 2) % 3]);
+    }
+    st.force_conduction_lane(bc, 1, Conduction::Open);
+    st.force_conduction_lane(bc, 3, Conduction::Maybe);
+    st.force_input_lane(c, 2, Logic::H);
+    let firsts = solvers_agree(&st, &[a, b]).unwrap();
+    let first = &firsts[0];
+    assert_eq!(first.members, vec![a, b, c], "survivors span the chain");
+    assert_eq!(first.lanes, 0b10001, "lanes 1–3 evicted at B–C");
+    assert_eq!(first.evicted, 0b01110);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -154,29 +272,7 @@ proptest! {
                 st.force_conduction_lane(t, lane, c);
             }
         }
-        let mut scalar = Scratch::new(net.num_nodes(), net.num_transistors());
-        let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
-        for &seed in &storage {
-            // Packed passes until every lane where `seed` is storage has
-            // been solved; evicted lanes re-solve from the same seed.
-            let mut pending = st.lanes() & !st.is_input_lanes(seed);
-            while pending != 0 {
-                let out = packed.solve_group_packed(&st, seed, pending);
-                prop_assert!(out.lanes != 0 && out.lanes & out.evicted == 0);
-                prop_assert_eq!(out.lanes | out.evicted, pending);
-                let mut kept = out.lanes;
-                while kept != 0 {
-                    let lane = kept.trailing_zeros();
-                    kept &= kept - 1;
-                    let got = scalar.solve_group(&Lane { st: &st, lane }, seed, false);
-                    prop_assert_eq!(&got.members, &out.members, "lane {} seed {:?}", lane, seed);
-                    let want: Vec<Logic> =
-                        out.values.iter().map(|v| v.get(lane).expect("solved lane")).collect();
-                    prop_assert_eq!(&got.values, &want, "lane {} seed {:?}", lane, seed);
-                }
-                pending = out.evicted;
-            }
-        }
+        solvers_agree(&st, &storage)?;
     }
 
     #[test]
